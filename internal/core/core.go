@@ -874,8 +874,16 @@ func (s *System) Run(fn func(p *Proc)) error {
 				n.start()
 			}
 		}
+		// Decide every launch before the first proc starts: a launched
+		// proc may commit a join, and a node that stops being absent
+		// mid-loop is launched by completeJoin, so it must not also be
+		// launched here.
+		launch := make([]bool, len(s.nodes))
 		for i, n := range s.nodes {
-			if n == nil || absent(i) {
+			launch[i] = n != nil && !absent(i)
+		}
+		for i, n := range s.nodes {
+			if !launch[i] {
 				continue
 			}
 			s.runWG.Add(1)

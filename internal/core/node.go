@@ -201,6 +201,10 @@ type Node struct {
 	// one.
 	vm     *vmem.Table
 	vmOnce sync.Once
+	// pages is the page table locked around every instrumented store
+	// (beginStore), set when the scheme traps writes through page
+	// protection; nil otherwise.
+	pages *vmem.Table
 
 	cycles  clock.Cycle
 	lamport clock.Lamport
@@ -301,6 +305,9 @@ func newNode(s *System, id int) *Node {
 		panic(fmt.Sprintf("core: %v", err))
 	}
 	n.det = det
+	if pt, ok := det.(detect.PageTrapper); ok {
+		n.pages = pt.Pages()
+	}
 	return n
 }
 

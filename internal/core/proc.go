@@ -22,13 +22,14 @@ type Proc struct {
 	node *Node
 
 	// One-entry region cache for the instrumented access fast path: most
-	// accesses hit the same array's region as the previous one, and a
-	// region's base, size and backing slice are immutable once
-	// materialized, so the cache needs no invalidation.  Proc is owned by
-	// a single goroutine, so no locking either.
+	// accesses hit the same array's region as the previous one, and once
+	// the layout is frozen (before any Proc exists) a region's base,
+	// extent and backing slice are immutable, so the cache needs no
+	// invalidation.  Proc is owned by a single goroutine, so no locking
+	// either.
 	rcRegion *memory.Region
 	rcBase   memory.Addr
-	rcSize   uint32
+	rcSize   uint32 // len(rcData): the region's extent
 	rcData   []byte
 }
 
@@ -48,7 +49,7 @@ func (p *Proc) dataFor(a memory.Addr, size uint32) ([]byte, *memory.Region) {
 		panic(err)
 	}
 	d := n.inst.Data(r)
-	p.rcRegion, p.rcBase, p.rcSize, p.rcData = r, r.Base, r.Size, d
+	p.rcRegion, p.rcBase, p.rcSize, p.rcData = r, r.Base, uint32(len(d)), d
 	off := uint32(a - r.Base)
 	return d[off : off+size], r
 }
@@ -91,6 +92,22 @@ func (p *Proc) ReadF64(a memory.Addr) float64 {
 // fault twins the page's pre-store contents (under RT-DSM the template
 // runs after the store, but the order is not observable).
 
+// beginStore and endStore bracket a store's trap and the store itself.
+// Under a page-trapping scheme they hold the page table's LockStores, so
+// a collection on the handler goroutine cannot write-protect and
+// snapshot the page between the two; other schemes pay a nil check.
+func (n *Node) beginStore() {
+	if n.pages != nil {
+		n.pages.LockStores()
+	}
+}
+
+func (n *Node) endStore() {
+	if n.pages != nil {
+		n.pages.UnlockStores()
+	}
+}
+
 // WriteU32 stores a 32-bit word, trapping the write per the configured
 // strategy.
 func (p *Proc) WriteU32(a memory.Addr, v uint32) {
@@ -99,9 +116,11 @@ func (p *Proc) WriteU32(a memory.Addr, v uint32) {
 	if n.race != nil || n.left {
 		n.checkStore(a, 4, r)
 	}
+	n.beginStore()
 	n.det.TrapWrite(a, 4, r)
 	n.cycles.Charge(n.cost.Store)
 	binary.LittleEndian.PutUint32(b, v)
+	n.endStore()
 }
 
 // WriteU64 stores a 64-bit doubleword, trapping the write.
@@ -111,9 +130,11 @@ func (p *Proc) WriteU64(a memory.Addr, v uint64) {
 	if n.race != nil || n.left {
 		n.checkStore(a, 8, r)
 	}
+	n.beginStore()
 	n.det.TrapWrite(a, 8, r)
 	n.cycles.Charge(n.cost.Store)
 	binary.LittleEndian.PutUint64(b, v)
+	n.endStore()
 }
 
 // checkStore is the write path's slow-path guard, reached only with the
@@ -141,13 +162,15 @@ func (p *Proc) WriteF64(a memory.Addr, v float64) {
 // boundaries, so the per-element checks it replaces could only ever
 // resolve to the same region), one batched detector dispatch, one cost
 // charge.  All three are exactly the sums the per-element path would
-// produce.
+// produce.  It returns inside beginStore; the caller stores the span and
+// then calls endStore.
 func (p *Proc) writeBatch(a memory.Addr, elem uint32, count int) []byte {
 	n := p.node
 	b, r := p.dataFor(a, elem*uint32(count))
 	if n.race != nil || n.left {
 		n.checkStore(a, elem*uint32(count), r)
 	}
+	n.beginStore()
 	detect.TrapWrites(n.det, a, elem, count, r)
 	n.cycles.Charge(n.cost.Store * uint64(count))
 	return b
@@ -165,6 +188,7 @@ func (p *Proc) WriteU32s(a memory.Addr, vs []uint32) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint32(b[4*i:], v)
 	}
+	p.node.endStore()
 }
 
 // WriteU64s stores len(vs) consecutive doublewords starting at a.
@@ -176,6 +200,7 @@ func (p *Proc) WriteU64s(a memory.Addr, vs []uint64) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
+	p.node.endStore()
 }
 
 // WriteF64s stores len(vs) consecutive float64s starting at a.
@@ -187,6 +212,7 @@ func (p *Proc) WriteF64s(a memory.Addr, vs []float64) {
 	for i, v := range vs {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
+	p.node.endStore()
 }
 
 // ReadBytes copies rg.Size bytes of shared memory into dst.
@@ -211,10 +237,14 @@ func (p *Proc) WriteBytes(rg memory.Range, src []byte) {
 		if n.race != nil || n.left {
 			n.checkStore(s.Addr(), s.Len, s.Region)
 		}
+	}
+	n.beginStore()
+	for _, s := range segs {
 		n.det.TrapWrite(s.Addr(), s.Len, s.Region)
 	}
 	n.cycles.Charge(n.cost.Store * uint64((rg.Size+7)/8))
 	n.inst.WriteBytes(rg, src)
+	n.endStore()
 }
 
 // Acquire obtains the lock in exclusive (write) mode, making the data

@@ -170,6 +170,17 @@ type BatchTrapper interface {
 	TrapWriteBatch(a memory.Addr, elem uint32, count int, r *memory.Region)
 }
 
+// PageTrapper is an optional Detector extension implemented by schemes
+// that trap writes through the node's page table (vm, hybrid).  Their
+// collector write-protects whole pages, which other objects' data
+// shares, while the application may be storing to them, so the write
+// path must hold the table's vmem.Table.LockStores across each
+// TrapWrite (or TrapWriteBatch) and the store it traps.
+type PageTrapper interface {
+	// Pages returns the page table the scheme traps writes through.
+	Pages() *vmem.Table
+}
+
 // TrapWrites dispatches count consecutive elem-sized stores starting at a
 // through d, using the fused batch entry point when the scheme provides
 // one and falling back to per-element traps otherwise.

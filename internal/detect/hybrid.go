@@ -6,6 +6,7 @@ import (
 	"midway/internal/cost"
 	"midway/internal/memory"
 	"midway/internal/proto"
+	"midway/internal/vmem"
 )
 
 // hybridDetector dispatches write detection per region: fine-grained
@@ -266,6 +267,8 @@ func (d *hybridDetector) TrapWrite(a memory.Addr, size uint32, r *memory.Region)
 	}
 	rtTrap(d.e, d.opt.EagerTimestamps, a, size, r)
 }
+
+func (d *hybridDetector) Pages() *vmem.Table { return d.e.VM() }
 
 func (d *hybridDetector) TrapWriteBatch(a memory.Addr, elem uint32, count int, r *memory.Region) {
 	if r.Class == memory.Private {

@@ -129,12 +129,13 @@ func init() {
 }
 
 // vmTrap upgrades the stored-to pages to writable, twinning them on first
-// touch.  Shared by the vm and hybrid schemes.
+// touch.  Shared by the vm and hybrid schemes; the caller holds the page
+// table's LockStores (see PageTrapper).
 func vmTrap(e Engine, a memory.Addr, size uint32, r *memory.Region) {
 	if r.Class == memory.Private {
 		return // private pages are not managed by the external pager
 	}
-	faults := e.VM().EnsureWritable(a, size)
+	faults := e.VM().EnsureWritableLocked(a, size)
 	if faults > 0 {
 		e.Stats().WriteFaults.Add(uint64(faults))
 		e.Charge(uint64(faults) * e.Cost().PageWriteFault)
@@ -158,6 +159,8 @@ func (d *vmDetector) TrapWrite(a memory.Addr, size uint32, r *memory.Region) {
 	vmTrap(d.e, a, size, r)
 }
 
+func (d *vmDetector) Pages() *vmem.Table { return d.e.VM() }
+
 // vmTrapBatch is count consecutive vmTrap calls for elem-sized stores.
 // A page faults at most once per batch either way, so one EnsureWritable
 // over the whole span produces exactly the per-element fault count and
@@ -166,7 +169,7 @@ func vmTrapBatch(e Engine, a memory.Addr, elem uint32, count int, r *memory.Regi
 	if r.Class == memory.Private || count == 0 {
 		return
 	}
-	faults := e.VM().EnsureWritable(a, uint32(count)*elem)
+	faults := e.VM().EnsureWritableLocked(a, uint32(count)*elem)
 	if faults > 0 {
 		e.Stats().WriteFaults.Add(uint64(faults))
 		e.Charge(uint64(faults) * e.Cost().PageWriteFault)
@@ -178,9 +181,9 @@ func (d *vmDetector) TrapWriteBatch(a memory.Addr, elem uint32, count int, r *me
 	vmTrapBatch(d.e, a, elem, count, r)
 }
 
-// diffAndDistribute diffs every dirty page holding data of the given
-// binding, distributes the discovered modifications to the accumulator of
-// every object whose binding overlaps them, and cleans the pages.  accumOf
+// diffAndDistribute write-protects and diffs every dirty page holding data
+// of the given binding, and distributes the discovered modifications to
+// the accumulator of every object whose binding overlaps them.  accumOf
 // maps an object's view to the scheme's accumulator slot.  Caller holds
 // the node's mutex (collection entry points do).
 func diffAndDistribute(e Engine, binding []memory.Range, accumOf func(ObjectView) *[]proto.Update) cost.Cycles {
@@ -195,7 +198,9 @@ func diffAndDistribute(e Engine, binding []memory.Range, accumOf func(ObjectView
 				continue
 			}
 			seen[pg] = true
-			cur, twin := vm.Snapshot(pg)
+			cur, twin := vm.Collect(pg)
+			st.PagesWriteProtected.Add(1)
+			cycles += m.PageProtectRO
 			df := diff.Compute(cur, twin)
 			st.PagesDiffed.Add(1)
 			st.DiffRuns.Add(uint64(len(df.Runs)))
@@ -217,10 +222,6 @@ func diffAndDistribute(e Engine, binding []memory.Range, accumOf func(ObjectView
 			}
 			if !df.Empty() {
 				distribute(e, pg, df, accumOf)
-			}
-			if vm.Clean(pg) {
-				st.PagesWriteProtected.Add(1)
-				cycles += m.PageProtectRO
 			}
 		}
 	}

@@ -14,6 +14,12 @@
 // identical on every node, exactly as Midway arranges the same region
 // structure in every process's virtual memory.  An Instance holds one
 // node's local copy of the data and its private dirtybit arrays.
+//
+// A region is a reservation in the address map, not a commitment of
+// storage: just as a real VM system backs only the pages a program
+// touches, an Instance backs each region only up to its extent — the
+// allocation high-water mark rounded up to a page and to the line size.
+// Bytes of a region past its extent are unmapped.
 package memory
 
 import (
@@ -121,6 +127,13 @@ const (
 	DirtyPending int64 = math.MinInt64
 )
 
+// PageShift is log2 of the virtual memory page size, the granularity at
+// which region storage is backed (and at which VM-DSM protects and twins).
+const PageShift = 12
+
+// PageSize is the virtual memory page size in bytes.
+const PageSize = 1 << PageShift
+
 // Region describes one fixed-size region of the shared address space.  The
 // first page of a Midway region holds the dirtybit-update code template;
 // here the Region value itself plays that role, carrying the line size and
@@ -147,13 +160,30 @@ type Region struct {
 	// this region belongs to (multi-region objects occupy consecutive
 	// regions with identical attributes).
 	SpanHead int
+	// extent is the number of bytes from Base backed by storage: the
+	// allocation high-water mark rounded up to a page and to the line
+	// size.  It grows under the layout lock as allocations pack into the
+	// region and is immutable after Layout.Freeze.
+	extent atomic.Uint32
 }
 
 // LineSize returns the cache line size in bytes.
 func (r *Region) LineSize() uint32 { return 1 << r.LineShift }
 
-// Lines returns the number of cache lines in the region.
-func (r *Region) Lines() int { return int(r.Size >> r.LineShift) }
+// Extent returns the number of bytes of the region, from Base, that are
+// backed by storage; the rest of the region is unmapped.  A multiple of
+// both PageSize and the line size.
+func (r *Region) Extent() uint32 { return r.extent.Load() }
+
+// setUsed raises the extent to cover the first used bytes of the region.
+// Caller holds the layout lock.
+func (r *Region) setUsed(used uint32) {
+	align := max(uint32(PageSize), r.LineSize())
+	e := min((used+align-1)&^(align-1), r.Size)
+	if e > r.extent.Load() {
+		r.extent.Store(e)
+	}
+}
 
 // LineIndex returns the index of the cache line containing a, which must
 // lie within the region.
@@ -253,6 +283,7 @@ func (l *Layout) NumRegions() int {
 // Freeze marks the layout complete.  Subsequent allocations panic: in the
 // SPMD deployment every process must construct the identical layout before
 // the parallel phase begins, so late allocation is a programming error.
+// Every region's extent is final from here on.
 func (l *Layout) Freeze() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -310,6 +341,12 @@ func (l *Layout) AllocTagged(name string, size uint32, class Class, lineShift ui
 		for i := 0; i < n; i++ {
 			l.appendRegion(name, class, lineShift, gran, head)
 		}
+		// Every region of the span is full except the last, which holds
+		// the remainder.
+		for i := 0; i < n-1; i++ {
+			l.regions[head+i].setUsed(regionSize)
+		}
+		l.regions[head+n-1].setUsed(size - uint32(n-1)*regionSize)
 		return l.regions[head].Base, nil
 	}
 
@@ -319,12 +356,14 @@ func (l *Layout) AllocTagged(name string, size uint32, class Class, lineShift ui
 		off := (cur.off + align - 1) &^ (align - 1)
 		if off+size <= regionSize {
 			l.cursors[key] = cursor{region: cur.region, off: off + size}
+			l.regions[cur.region].setUsed(off + size)
 			return l.regions[cur.region].Base + Addr(off), nil
 		}
 	}
 	idx := len(l.regions)
 	l.appendRegion(name, class, lineShift, gran, idx)
 	l.cursors[key] = cursor{region: idx, off: size}
+	l.regions[idx].setUsed(size)
 	return l.regions[idx].Base, nil
 }
 
@@ -380,7 +419,7 @@ type Segment struct {
 func (s Segment) Addr() Addr { return s.Region.Base + Addr(s.Off) }
 
 // Segments splits rg into per-region segments.  It returns an error if any
-// part of the range is unmapped.
+// part of the range is unmapped, including bytes past a region's extent.
 func (l *Layout) Segments(rg Range) ([]Segment, error) {
 	if rg.Size == 0 {
 		return nil, nil
@@ -394,7 +433,11 @@ func (l *Layout) Segments(rg Range) ([]Segment, error) {
 			return nil, fmt.Errorf("memory: address %#x unmapped", uint32(a))
 		}
 		off := uint32(a - r.Base)
-		n := r.Size - off
+		ext := r.Extent()
+		if off >= ext {
+			return nil, fmt.Errorf("memory: address %#x unmapped", uint32(a))
+		}
+		n := ext - off
 		if n > remaining {
 			n = remaining
 		}
@@ -412,14 +455,19 @@ func (l *Layout) CheckScalar(a Addr, size uint32) (*Region, error) {
 	if r == nil {
 		return nil, fmt.Errorf("memory: address %#x unmapped", uint32(a))
 	}
-	if uint32(a-r.Base)+size > r.Size {
-		return nil, fmt.Errorf("memory: %d-byte access at %#x crosses region boundary", size, uint32(a))
+	off, ext := uint32(a-r.Base), r.Extent()
+	if off+size > ext {
+		if ext == r.Size {
+			return nil, fmt.Errorf("memory: %d-byte access at %#x crosses region boundary", size, uint32(a))
+		}
+		return nil, fmt.Errorf("memory: address %#x unmapped", uint32(max(a, r.Base+Addr(ext))))
 	}
 	return r, nil
 }
 
-// Instance is one node's local view of the address space: a copy of every
-// region's data plus the node's dirtybit arrays for shared regions.
+// Instance is one node's local view of the address space: a copy of each
+// touched region's data up to the region's extent, plus the node's
+// dirtybit arrays (one per line of the extent) for shared regions.
 // Storage is materialized on first touch; Instance methods are safe for
 // concurrent use by the application and the protocol handler (the usual
 // entry-consistency caveat applies: concurrent access to the same line
@@ -440,6 +488,10 @@ type Instance struct {
 // are never mutated after publication — materializing a region copies the
 // snapshot — but the backing arrays they point to are shared across
 // snapshots and mutated freely (they are the simulated memory itself).
+// A region materialized before Layout.Freeze is regrown (contents and
+// dirtybits copied) once an allocation packed into it raises its extent;
+// after Freeze every extent is final and a backing array, once published
+// at it, never moves.
 type instStore struct {
 	data  [][]byte
 	dirty [][]int64 // shared regions only
@@ -485,15 +537,17 @@ func NewInstance(l *Layout) *Instance {
 // Layout returns the layout this instance views.
 func (in *Instance) Layout() *Layout { return in.layout }
 
-// ensure materializes storage for the region and returns the data and
-// dirtybit slices (dirty is nil for private regions).  Materialization
-// publishes a fresh snapshot; the atomic store's release ordering makes
-// the zeroed backing arrays visible to every subsequent lock-free lookup.
+// ensure materializes (or grows) storage for the region to its current
+// extent and returns the data and dirtybit slices (dirty is nil for
+// private regions).  Materialization publishes a fresh snapshot; the
+// atomic store's release ordering makes the backing arrays visible to
+// every subsequent lock-free lookup.
 func (in *Instance) ensure(r *Region) ([]byte, []int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	cur := in.store.Load()
-	if r.Index < len(cur.data) && cur.data[r.Index] != nil {
+	ext := r.Extent()
+	if r.Index < len(cur.data) && len(cur.data[r.Index]) == int(ext) {
 		return cur.data[r.Index], cur.dirty[r.Index]
 	}
 	n := len(cur.data)
@@ -508,10 +562,18 @@ func (in *Instance) ensure(r *Region) ([]byte, []int64) {
 	copy(next.data, cur.data)
 	copy(next.dirty, cur.dirty)
 	copy(next.sum, cur.sum)
-	next.data[r.Index] = make([]byte, r.Size)
+	// A growing region keeps its contents and dirtybits; its summary
+	// stays valid since the added lines are clean.
+	d := make([]byte, ext)
+	copy(d, next.data[r.Index])
+	next.data[r.Index] = d
 	if r.Class == Shared {
-		next.dirty[r.Index] = make([]int64, r.Lines())
-		next.sum[r.Index] = &RegionSummary{}
+		b := make([]int64, ext>>r.LineShift)
+		copy(b, next.dirty[r.Index])
+		next.dirty[r.Index] = b
+		if next.sum[r.Index] == nil {
+			next.sum[r.Index] = &RegionSummary{}
+		}
 	}
 	in.store.Store(next)
 	return next.data[r.Index], next.dirty[r.Index]
@@ -530,12 +592,12 @@ func (in *Instance) Summary(r *Region) *RegionSummary {
 	return in.store.Load().sum[r.Index]
 }
 
-// Data returns the node-local backing store for the region, materializing
-// it if necessary.
+// Data returns the node-local backing store for the region, Extent bytes
+// long, materializing it if necessary.
 func (in *Instance) Data(r *Region) []byte {
-	// Fast path: already materialized (one atomic load, no locking —
-	// every instrumented load and store resolves here).
-	if s := in.store.Load(); r.Index < len(s.data) && s.data[r.Index] != nil {
+	// Fast path: already materialized at the current extent (one atomic
+	// load, no locking — every instrumented load and store resolves here).
+	if s := in.store.Load(); r.Index < len(s.data) && len(s.data[r.Index]) == int(r.Extent()) {
 		return s.data[r.Index]
 	}
 	d, _ := in.ensure(r)
@@ -543,12 +605,12 @@ func (in *Instance) Data(r *Region) []byte {
 }
 
 // Dirtybits returns the node's dirtybit (timestamp) array for a shared
-// region, one entry per cache line.
+// region, one entry per cache line of the extent.
 func (in *Instance) Dirtybits(r *Region) []int64 {
 	if r.Class != Shared {
 		panic("memory: dirtybits requested for private region " + r.Name)
 	}
-	if s := in.store.Load(); r.Index < len(s.dirty) && s.dirty[r.Index] != nil {
+	if s := in.store.Load(); r.Index < len(s.data) && len(s.data[r.Index]) == int(r.Extent()) {
 		return s.dirty[r.Index]
 	}
 	_, b := in.ensure(r)
@@ -638,16 +700,16 @@ func (in *Instance) WriteF64s(a Addr, vs []float64) *Region {
 }
 
 // inRegion returns the backing bytes when the whole range falls within a
-// single mapped region — the common case for block copies, which skips the
-// Segments allocation — or nil when it straddles regions (or is unmapped;
-// the segment walk reports that).
+// single region's extent — the common case for block copies, which skips
+// the Segments allocation — or nil when it straddles regions (or is
+// unmapped; the segment walk reports that).
 func (in *Instance) inRegion(rg Range) []byte {
 	r := in.layout.RegionFor(rg.Addr)
 	if r == nil {
 		return nil
 	}
 	off := uint32(rg.Addr - r.Base)
-	if off+rg.Size > r.Size || off+rg.Size < off {
+	if off+rg.Size > r.Extent() || off+rg.Size < off {
 		return nil
 	}
 	d := in.Data(r)

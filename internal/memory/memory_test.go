@@ -255,8 +255,8 @@ func TestDirtybits(t *testing.T) {
 	in := NewInstance(l)
 	r := l.RegionFor(a)
 	bits := in.Dirtybits(r)
-	if len(bits) != r.Lines() {
-		t.Errorf("dirtybits length %d, want %d", len(bits), r.Lines())
+	if want := int(r.Extent() >> r.LineShift); len(bits) != want {
+		t.Errorf("dirtybits length %d, want %d", len(bits), want)
 	}
 	for _, b := range bits {
 		if b != Clean {

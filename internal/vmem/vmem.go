@@ -20,8 +20,9 @@ import (
 )
 
 // PageShift is log2 of the page size.  The paper's DECstations use 4 KB
-// pages.
-const PageShift = 12
+// pages.  It is the memory package's page: region storage is backed in
+// whole pages, so a page this package twins or diffs is always backed.
+const PageShift = memory.PageShift
 
 // PageSize is the virtual memory page size in bytes.
 const PageSize = 1 << PageShift
@@ -113,19 +114,39 @@ func (t *Table) regionForPage(idx int) *memory.Region {
 	return r
 }
 
+// LockStores locks the table for a page-trapped store: the application's
+// write path holds it from the store's protection check
+// (EnsureWritableLocked) through the store itself, as a real store
+// instruction is atomic with respect to the kernel's write-protect.
+// Without it a store that found its page writable could land after a
+// concurrent Collect had snapshotted and write-protected the page, and
+// would never be diffed.
+func (t *Table) LockStores() { t.mu.Lock() }
+
+// UnlockStores releases the lock taken by LockStores.  Kept out of line
+// so the write path's unlock-if-page-trapping check inlines.
+//
+//go:noinline
+func (t *Table) UnlockStores() { t.mu.Unlock() }
+
 // EnsureWritable prepares every shared page overlapping the scalar or area
 // store [a, a+size) to accept the write, fielding a write fault (twin
 // creation, dirty marking, protection upgrade) for each page that was
 // read-only.  It returns the number of faults taken.  Stores to private
 // pages never fault.
 func (t *Table) EnsureWritable(a memory.Addr, size uint32) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.EnsureWritableLocked(a, size)
+}
+
+// EnsureWritableLocked is EnsureWritable for a caller holding LockStores.
+func (t *Table) EnsureWritableLocked(a memory.Addr, size uint32) int {
 	if size == 0 {
 		return 0
 	}
 	first, last := PagesIn(memory.Range{Addr: a, Size: size})
 	faults := 0
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for idx := first; idx <= last; idx++ {
 		r := t.regionForPage(idx)
 		if r == nil {
@@ -177,6 +198,13 @@ func (t *Table) DirtyPagesIn(rg memory.Range) []int {
 func (t *Table) Snapshot(idx int) (cur, twin []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	p, r := t.dirtyPage(idx)
+	return t.copyPage(idx, r), p.twin
+}
+
+// dirtyPage returns the state and region of a dirty page, panicking if the
+// page is clean or unmanaged.  Caller holds t.mu.
+func (t *Table) dirtyPage(idx int) (*page, *memory.Region) {
 	p := t.pages[idx]
 	if p == nil || !p.dirty {
 		panic(fmt.Sprintf("vmem: snapshot of clean page %d", idx))
@@ -185,7 +213,23 @@ func (t *Table) Snapshot(idx int) (cur, twin []byte) {
 	if r == nil {
 		panic(fmt.Sprintf("vmem: snapshot of unmanaged page %d", idx))
 	}
-	return t.copyPage(idx, r), p.twin
+	return p, r
+}
+
+// Collect write-protects a dirty page and returns copies of its contents
+// and its twin, releasing the twin: the real VM system's order, protect
+// then diff.  It waits out a store in flight (see LockStores), so every
+// store lands either in the returned contents or, after a fresh write
+// fault, in the page's next twin.  It panics if the page is not dirty.
+func (t *Table) Collect(idx int) (cur, twin []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	p, r := t.dirtyPage(idx)
+	cur, twin = t.copyPage(idx, r), p.twin
+	p.twin = nil
+	p.dirty = false
+	p.prot = ReadOnly
+	return cur, twin
 }
 
 // Clean marks the page clean after its modifications have been shipped:

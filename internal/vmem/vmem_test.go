@@ -173,3 +173,72 @@ func TestApplyToTwinSpanningPages(t *testing.T) {
 		t.Errorf("spanning ApplyToTwin wrote %d bytes, want 64", got)
 	}
 }
+
+// TestPartialLastPageTwin: an allocation that ends mid-page is backed to
+// the page boundary, so faulting, twinning and snapshotting its last page
+// stay in bounds and the twin holds the page's pre-store contents.
+func TestPartialLastPageTwin(t *testing.T) {
+	l := memory.NewLayout(16)
+	a, err := l.Alloc("tail", PageSize+200, memory.Shared, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Freeze()
+	inst := memory.NewInstance(l)
+	tbl := NewTable(inst)
+	last := a + PageSize + 192
+	inst.WriteU64(last, 0x1111)
+
+	if got := tbl.EnsureWritable(last, 8); got != 1 {
+		t.Fatalf("store to the partial page took %d faults, want 1", got)
+	}
+	inst.WriteU64(last, 0x2222)
+	cur, twin := tbl.Snapshot(PageIndex(last))
+	if len(cur) != PageSize || len(twin) != PageSize {
+		t.Fatalf("snapshot %d/%d bytes, want whole pages", len(cur), len(twin))
+	}
+	if cur[192] != 0x22 || twin[192] != 0x11 {
+		t.Errorf("partial page: current %#x, twin %#x; want 0x22, 0x11", cur[192], twin[192])
+	}
+	for i := 200; i < PageSize; i++ {
+		if cur[i] != 0 || twin[i] != 0 {
+			t.Fatalf("byte %d past the allocation is nonzero", i)
+		}
+	}
+}
+
+// TestCollectOrdersInFlightStore: a store bracketed by LockStores —
+// protection check, then the store itself — lands wholly before a
+// concurrent Collect's snapshot, so it is diffed rather than lost behind
+// the write-protect, and the page comes back clean and read-only.
+func TestCollectOrdersInFlightStore(t *testing.T) {
+	_, inst, tbl, shared, _ := setup(t)
+	pg := PageIndex(shared)
+	tbl.EnsureWritable(shared, 8)
+
+	tbl.LockStores()
+	if got := tbl.EnsureWritableLocked(shared+8, 8); got != 0 {
+		t.Fatalf("store to a writable page took %d faults, want 0", got)
+	}
+	started := make(chan struct{})
+	done := make(chan []byte)
+	go func() {
+		close(started)
+		cur, _ := tbl.Collect(pg)
+		done <- cur
+	}()
+	<-started
+	inst.WriteU64(shared+8, 0x2A)
+	tbl.UnlockStores()
+
+	cur := <-done
+	if cur[8] != 0x2A {
+		t.Errorf("in-flight store missing from the collected page: byte 8 = %#x, want 0x2a", cur[8])
+	}
+	if tbl.Prot(pg) != ReadOnly || tbl.IsDirty(pg) || tbl.DirtyPageCount() != 0 {
+		t.Error("page not clean+protected after Collect")
+	}
+	if got := tbl.EnsureWritable(shared, 8); got != 1 {
+		t.Errorf("store after Collect took %d faults, want 1", got)
+	}
+}
